@@ -11,7 +11,7 @@ import (
 // The oracle corpus pins the offline yardstick the same way the method
 // corpus pins the engines: exact fixed-seed OracleSummary entries for
 // both Tiny scenarios, steady-state and storm-disrupted. Any change to
-// graph construction, the label-setting search, or the commit order
+// graph construction, the connection scan, or the commit order
 // shows up as a corpus diff to regenerate deliberately (go test
 // ./internal/experiment -run TestOracleGolden -update-golden).
 

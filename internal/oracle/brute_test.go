@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/synth"
@@ -9,7 +10,7 @@ import (
 )
 
 // Brute-force cross-check: on tiny scenarios (<= 3 landmarks) the
-// label-setting search must be exactly optimal. The reference
+// connection scan must be exactly optimal. The reference
 // enumerates every feasible forwarding schedule as a DFS over simple
 // landmark paths in the time-expanded graph — for earliest arrival,
 // revisiting a landmark can never help (returning later only shrinks
@@ -48,7 +49,7 @@ func bruteEAT(tr *trace.Trace, src, dst int, t0, deadline trace.Time) (trace.Tim
 	return best, best < maxTime
 }
 
-// TestBruteForceEquivalence compares the label-setting search against
+// TestBruteForceEquivalence compares the connection scan against
 // exhaustive enumeration over a batch of randomized tiny traces and
 // packet sets.
 func TestBruteForceEquivalence(t *testing.T) {
@@ -98,6 +99,40 @@ func TestBruteForceEquivalence(t *testing.T) {
 			if wantOK && pr.EAT != wantEAT {
 				t.Fatalf("round %d packet %d: search EAT=%d, brute force=%d", round, i, pr.EAT, wantEAT)
 			}
+		}
+	}
+}
+
+// TestBruteForceZeroDurationChain: two zero-duration transits at one
+// instant chain L0 -> L1 -> L2, and the L1 -> L2 connection sorts
+// first (node 0's departure visit has the smaller id), so a scan that
+// reads each connection of the instant once would miss the chain.
+func TestBruteForceZeroDurationChain(t *testing.T) {
+	tr := mkTrace(t, 2, 3,
+		[4]int64{0, 1, 0, 10},
+		[4]int64{0, 2, 10, 20},
+		[4]int64{1, 0, 0, 10},
+		[4]int64{1, 1, 10, 20},
+	)
+	g := Build(tr, Config{LinkRate: 1}, 1)
+	if g.ZeroDuration() != 2 {
+		t.Fatalf("want 2 zero-duration connections, got %d", g.ZeroDuration())
+	}
+	pkts := []Packet{{ID: 0, Src: 0, Dst: 2, Created: 0, Expiry: 100, Size: 1}}
+	wantEAT, wantOK := bruteEAT(tr, 0, 2, 0, 100)
+	if !wantOK || wantEAT != 10 {
+		t.Fatalf("brute force: want delivery at 10, got %v at %d", wantOK, wantEAT)
+	}
+	for name, res := range map[string]*Result{
+		"scan":      Solve(g, Config{LinkRate: 1}, pkts),
+		"reference": SolveReference(g, Config{LinkRate: 1}, pkts),
+	} {
+		pr := &res.Packets[0]
+		if pr.Fate != FateDelivered || pr.EAT != wantEAT {
+			t.Errorf("%s: got %v at %d, want delivered at %d", name, pr.Fate, pr.EAT, wantEAT)
+		}
+		if path := res.Path(pr); !reflect.DeepEqual(path, []int{0, 1, 2}) {
+			t.Errorf("%s: path = %v, want [0 1 2]", name, path)
 		}
 	}
 }

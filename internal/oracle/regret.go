@@ -91,6 +91,11 @@ type RegretReport struct {
 // on the given (already perturbed, if the run was disrupted) trace.
 // Packets whose generation event fell out of a wrapped ring are skipped.
 func Regret(log *telemetry.Log, tr *trace.Trace, cfg Config) *RegretReport {
+	return regret(log, tr, cfg, newScan)
+}
+
+// regret is Regret on the given search implementation.
+func regret(log *telemetry.Log, tr *trace.Trace, cfg Config, newSearch func(*Graph) search) *RegretReport {
 	ttl := log.Meta.TTL
 	pkts := make([]Packet, 0, 1024)
 	seen := make(map[int32]bool)
@@ -115,7 +120,7 @@ func Regret(log *telemetry.Log, tr *trace.Trace, cfg Config) *RegretReport {
 
 	g := Build(tr, cfg, cfg.Workers)
 	cfg.SkipCommitted = true
-	res := Solve(g, cfg, pkts)
+	res := solve(g, cfg, pkts, newSearch)
 
 	rep := &RegretReport{Total: len(pkts)}
 	delivered := make(map[int32]trace.Time, len(pkts))
@@ -161,11 +166,11 @@ func Regret(log *telemetry.Log, tr *trace.Trace, cfg Config) *RegretReport {
 		rep.MeanRegret = regretSum / float64(rep.Both)
 	}
 
-	rep.replayDecisions(log, g, byID)
+	rep.replayDecisions(log, newSearch(g), byID)
 	return rep
 }
 
-// optState memoizes the unconstrained earliest-arrival search from one
+// optState memoizes the unconstrained earliest-arrival scan from one
 // (landmark, time) toward one destination: the EAT and the first hop of
 // an optimal path. Deadlines are applied by the caller (same state, many
 // packet expiries), which is what makes the memo sound.
@@ -182,8 +187,8 @@ type optKey struct {
 
 // replayDecisions scores every chosen (rank-0) decision in the log
 // against the oracle's per-state optimum.
-func (rep *RegretReport) replayDecisions(log *telemetry.Log, g *Graph, byID map[int]*PacketRegret) {
-	s := newSearcher(g)
+func (rep *RegretReport) replayDecisions(log *telemetry.Log, s search, byID map[int]*PacketRegret) {
+	tree := s.tree()
 	memo := make(map[optKey]optState)
 	opt := func(lm int, t trace.Time, dst int) optState {
 		if lm == dst {
@@ -194,14 +199,13 @@ func (rep *RegretReport) replayDecisions(log *telemetry.Log, g *Graph, byID map[
 			return v
 		}
 		var v optState
-		s.residual = nil
 		if eat, ok := s.run(lm, t, dst, maxTime); ok {
 			v = optState{eat: eat, ok: true}
 			// First hop: walk the parent chain back from dst to the child
 			// of lm.
 			child := int32(dst)
-			for s.parent[child] != int32(lm) {
-				child = s.parent[child]
+			for tree.parent[child] != int32(lm) {
+				child = tree.parent[child]
 			}
 			v.first = child
 		}
@@ -241,7 +245,7 @@ func (rep *RegretReport) replayDecisions(log *telemetry.Log, g *Graph, byID map[
 		// lm->chosen boardable at t, then optimally onward.
 		chOK := false
 		var vCh trace.Time
-		if a, ok := edgeEAT(g, lm, cur.t, cur.chosen); ok {
+		if a, ok := s.hop(lm, cur.t, cur.chosen); ok {
 			if cur.chosen == pr.Dst {
 				vCh, chOK = a, true
 			} else if v2 := opt(cur.chosen, a, pr.Dst); v2.ok {
@@ -299,24 +303,4 @@ func (rep *RegretReport) replayDecisions(log *telemetry.Log, g *Graph, byID map[
 	sort.Slice(rep.Landmarks, func(i, j int) bool {
 		return rep.Landmarks[i].Landmark < rep.Landmarks[j].Landmark
 	})
-}
-
-// edgeEAT is the earliest arrival at landmark `to` using one direct
-// contact edge from `from` boardable at time t.
-func edgeEAT(g *Graph, from int, t trace.Time, to int) (trace.Time, bool) {
-	if from < 0 || from >= g.L {
-		return 0, false
-	}
-	for gi := range g.adj[from] {
-		grp := &g.adj[from][gi]
-		if grp.to != to {
-			continue
-		}
-		i := sort.Search(len(grp.depart), func(k int) bool { return grp.depart[k] >= t })
-		if i == len(grp.depart) {
-			return 0, false
-		}
-		return grp.minArr[i], true
-	}
-	return 0, false
 }

@@ -1,8 +1,8 @@
 // The two solves. Relaxed: every packet gets an independent
-// earliest-arrival search with capacities ignored — a provable upper
-// bound on any store-and-forward method (used by dominance checks and
-// regret joins). Committed: packets are routed one at a time in
-// generation order, each search restricted to contact edges whose two
+// earliest-arrival connection scan with capacities ignored — a provable
+// upper bound on any store-and-forward method (used by dominance checks
+// and regret joins). Committed: packets are routed one at a time in
+// generation order, each scan restricted to contact edges whose two
 // endpoint visits still have residual transfer budget, and each
 // accepted path charges those budgets and the station-storage intervals
 // it occupies — a feasible schedule under the engine's physics, so the
@@ -19,6 +19,7 @@ package oracle
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -117,39 +118,27 @@ func (r *Result) Find(id int) (*PacketResult, bool) {
 }
 
 // Solve computes both oracle answers for pkts over a prebuilt graph.
-// The relaxed searches run in parallel (cfg.Workers); the committed
+// The relaxed scans run in parallel (cfg.Workers); the committed
 // schedule is inherently sequential (generation order defines who gets
 // contested capacity) and is skipped when cfg.SkipCommitted is set.
 // Results are deterministic for every worker count.
 func Solve(g *Graph, cfg Config, pkts []Packet) *Result {
+	return solve(g, cfg, pkts, newScan)
+}
+
+// solve is Solve on the given search implementation.
+func solve(g *Graph, cfg Config, pkts []Packet, newSearch func(*Graph) search) *Result {
 	res := &Result{
 		Packets: make([]PacketResult, len(pkts)),
 		byID:    make(map[int]int32, len(pkts)),
 	}
-	order := make([]int, len(pkts))
-	for i := range pkts {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		pa, pb := pkts[order[a]], pkts[order[b]]
-		if pa.Created != pb.Created {
-			return pa.Created < pb.Created
-		}
-		return pa.ID < pb.ID
-	})
-
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pkts) {
-		workers = len(pkts)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, len(pkts)))
 
-	// Relaxed pass: independent per-packet searches, parallel over
+	// Relaxed pass: independent per-packet scans, parallel over
 	// disjoint chunks. Each worker records its paths locally; the merge
 	// below lays them out in packet order so layout is deterministic.
 	type chunkPaths struct {
@@ -173,7 +162,7 @@ func Solve(g *Graph, cfg Config, pkts []Packet) *Result {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			s := newSearcher(g)
+			s := newSearch(g)
 			var buf []int
 			for i := lo; i < hi; i++ {
 				pr := solveRelaxed(s, g, cfg, pkts[i])
@@ -182,7 +171,7 @@ func Solve(g *Graph, cfg Config, pkts []Packet) *Result {
 					if pkts[i].Src == pkts[i].Dst {
 						buf = append(buf, pkts[i].Src)
 					} else {
-						buf = s.path(pkts[i].Dst, buf)
+						buf = s.tree().path(pkts[i].Dst, buf)
 					}
 					pr.pathLen = int32(len(buf)) - pr.pathOff
 				}
@@ -217,14 +206,14 @@ func Solve(g *Graph, cfg Config, pkts []Packet) *Result {
 	}
 
 	if !cfg.SkipCommitted {
-		commit(g, cfg, pkts, order, res)
+		commit(g, cfg, pkts, res, newSearch(g))
 	}
 	return res
 }
 
 // solveRelaxed computes one packet's capacity-free earliest arrival.
-// The searcher's parent tree is left intact for path reconstruction.
-func solveRelaxed(s *searcher, g *Graph, cfg Config, p Packet) PacketResult {
+// The search's parent tree is left intact for path reconstruction.
+func solveRelaxed(s search, g *Graph, cfg Config, p Packet) PacketResult {
 	pr := PacketResult{
 		ID: p.ID, Src: p.Src, Dst: p.Dst,
 		Created: p.Created, Expiry: p.Expiry,
@@ -243,7 +232,6 @@ func solveRelaxed(s *searcher, g *Graph, cfg Config, p Packet) PacketResult {
 	if p.Src < 0 || p.Src >= g.L || p.Dst < 0 || p.Dst >= g.L {
 		return pr
 	}
-	s.residual = nil
 	if eat, ok := s.run(p.Src, p.Created, p.Dst, p.Expiry); ok {
 		pr.Fate = FateDelivered
 		pr.EAT = eat
@@ -264,14 +252,24 @@ func tooBig(cfg Config, p Packet) bool {
 }
 
 // commit runs the greedy capacity-respecting schedule: packets in
-// generation order, each search restricted to edges with residual
+// generation order, each scan restricted to edges with residual
 // transfer budget on both endpoint visits, each accepted path charging
 // those budgets plus the station-storage intervals the packet occupies
 // while waiting between edges.
-func commit(g *Graph, cfg Config, pkts []Packet, order []int, res *Result) {
-	s := newSearcher(g)
-	s.residual = make([]int32, len(g.budget))
-	copy(s.residual, g.budget)
+func commit(g *Graph, cfg Config, pkts []Packet, res *Result, s search) {
+	order := make([]int, len(pkts))
+	for i := range pkts {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		pa, pb := pkts[order[a]], pkts[order[b]]
+		if pa.Created != pb.Created {
+			return pa.Created < pb.Created
+		}
+		return pa.ID < pb.ID
+	})
+	t := s.tree()
+	t.residual = slices.Clone(g.budget)
 	var st stationLedger
 	if cfg.StationMemory > 0 {
 		st.init(g.L, cfg.StationMemory)
@@ -302,16 +300,17 @@ func commit(g *Graph, cfg Config, pkts []Packet, order []int, res *Result) {
 		// engine delivers on upload.
 		if cfg.StationMemory > 0 {
 			scratch = scratch[:0]
-			scratch = s.path(p.Dst, scratch)
-			if !st.fits(s, scratch, p) {
+			scratch = t.path(p.Dst, scratch)
+			if !st.fits(t, scratch, p) {
 				continue
 			}
-			st.add(s, scratch, p)
+			st.add(t, scratch, p)
 		}
 		// Charge the transfer budgets along the committed path.
-		for lm := int32(p.Dst); s.parent[lm] >= 0; lm = s.parent[lm] {
-			s.residual[s.pdep[lm]]--
-			s.residual[s.parr[lm]]--
+		for lm := int32(p.Dst); t.parent[lm] >= 0; lm = t.parent[lm] {
+			c := &g.conns[t.pconn[lm]]
+			t.residual[c.depVis]--
+			t.residual[c.arrVis]--
 		}
 		pr.Committed = true
 		pr.CommitEAT = eat
@@ -340,14 +339,13 @@ func (l *stationLedger) init(landmarks int, cap int64) {
 }
 
 // waitIntervals visits each (landmark, start, end) wait the path implies,
-// using the searcher's label and edge state from the packet's search.
-func waitIntervals(s *searcher, path []int, p Packet, fn func(lm int, start, end trace.Time) bool) bool {
-	// dist[path[k]] is the arrival at hop k (Created at the source);
-	// the departure from hop k is the depart time of the edge into
-	// hop k+1, recovered from the committed edge's departure visit...
-	// which the searcher does not retain as a time. Use the successor's
-	// arrival as a conservative end: the packet certainly leaves hop k
-	// no later than it arrives at hop k+1.
+// using the labels the packet's scan left behind.
+func waitIntervals(s *labels, path []int, p Packet, fn func(lm int, start, end trace.Time) bool) bool {
+	// dist[path[k]] is the arrival at hop k (Created at the source).
+	// The wait ends at the departure of the edge into hop k+1; the
+	// ledger uses the successor's arrival instead, a conservative end:
+	// the packet certainly leaves hop k no later than it arrives at hop
+	// k+1.
 	for k := 0; k+1 < len(path); k++ {
 		start := p.Created
 		if k > 0 {
@@ -361,13 +359,13 @@ func waitIntervals(s *searcher, path []int, p Packet, fn func(lm int, start, end
 	return true
 }
 
-func (l *stationLedger) fits(s *searcher, path []int, p Packet) bool {
+func (l *stationLedger) fits(s *labels, path []int, p Packet) bool {
 	return waitIntervals(s, path, p, func(lm int, start, end trace.Time) bool {
 		return l.peak(lm, start, end)+p.Size <= l.cap
 	})
 }
 
-func (l *stationLedger) add(s *searcher, path []int, p Packet) {
+func (l *stationLedger) add(s *labels, path []int, p Packet) {
 	waitIntervals(s, path, p, func(lm int, start, end trace.Time) bool {
 		l.intervals[lm] = append(l.intervals[lm], stInterval{start, end, p.Size})
 		return true
