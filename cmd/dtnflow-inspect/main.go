@@ -170,8 +170,12 @@ func printSummary(log *telemetry.Log, topK int) {
 	hops := log.HopHistogram()
 	printBars(hops, func(i int) string { return fmt.Sprintf("%3d hop", i) })
 
-	fmt.Println("\ndelay histogram (delivered packets per day of delay):")
 	delays, width := log.DelayHistogram(trace.Day)
+	per := "day"
+	if width != trace.Day {
+		per = metrics.FormatDuration(float64(width))
+	}
+	fmt.Printf("\ndelay histogram (delivered packets per %s of delay):\n", per)
 	printBars(delays, func(i int) string {
 		return fmt.Sprintf("%4s", metrics.FormatDuration(float64(trace.Time(i)*width)))
 	})

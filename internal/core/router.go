@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/predict"
 	"repro/internal/routing"
@@ -138,11 +137,6 @@ type Router struct {
 	// Reusable scratch state for the forwarding hot path (forward.go).
 	// One router serves one engine, so the scratch is race-free; sweeps
 	// parallelise across engines, each with its own router.
-	// planPool recycles contactPlan scratch for the plan/commit pipeline
-	// (plan.go); pooled rather than single-slot because PlanContact calls
-	// run concurrently.
-	planPool sync.Pool
-
 	reachStamp    []int // per landmark; == reachEpoch when reachable this pass
 	directStamp   []int // per landmark; == reachEpoch when some present node predicts it
 	reachEpoch    int
@@ -256,20 +250,6 @@ func (r *Router) OnGenerate(ctx *sim.Context, p *sim.Packet) {
 
 // OnContact implements sim.Router.
 func (r *Router) OnContact(ctx *sim.Context, c *sim.Contact) {
-	// Steps 1–5: measurement, prediction and control-state delivery.
-	r.contactPrologue(ctx, c)
-
-	// 6. Scheduled communication: uploads and forwarding.
-	r.schedule(ctx, c)
-
-	// Step 7: dead-end timer.
-	r.contactEpilogue(ctx, c)
-}
-
-// contactPrologue runs steps 1–5 of contact processing — everything before
-// the communication schedule. CommitContact (plan.go) shares it with
-// OnContact so a replayed plan sees the identical prologue mutations.
-func (r *Router) contactPrologue(ctx *sim.Context, c *sim.Contact) {
 	n := c.Node
 	ns := r.nodes[n.ID]
 	lm := c.Landmark
@@ -309,10 +289,11 @@ func (r *Router) contactPrologue(ctx *sim.Context, c *sim.Contact) {
 	if r.cfg.NodeRouting {
 		r.nodeRoutingOnContact(ctx, n, lm)
 	}
-}
 
-// contactEpilogue runs step 7 — dead-end prevention (Section IV-E.1).
-func (r *Router) contactEpilogue(ctx *sim.Context, c *sim.Contact) {
+	// 6. Scheduled communication: uploads and forwarding.
+	r.schedule(ctx, c)
+
+	// 7. Dead-end prevention: arm the stay-time timer (Section IV-E.1).
 	if r.cfg.DeadEnd {
 		r.armDeadEnd(ctx, c)
 	}

@@ -15,8 +15,8 @@
 //     where both engine constructors consume them identically).
 //
 // Every compilation is deterministic, so disrupted runs remain
-// bit-identical across the classic, sharded, and parallel-apply engines
-// at any worker count — the same contract undisrupted runs have.
+// bit-identical across the classic and sharded engines at any worker
+// count — the same contract undisrupted runs have.
 package disrupt
 
 import (
@@ -322,7 +322,8 @@ func Preset(name string, nodes, landmarks int, start, end trace.Time) (Spec, err
 }
 
 // Parse resolves a CLI -disrupt argument: a preset name, or a path to a
-// JSON-encoded Spec (recognized by a .json suffix or an @ prefix).
+// JSON-encoded Spec (recognized by a .json suffix or an @ prefix). A spec
+// file must pass Validate against the given dimensions.
 func Parse(arg string, nodes, landmarks int, start, end trace.Time) (Spec, error) {
 	if path, ok := strings.CutPrefix(arg, "@"); ok || strings.HasSuffix(arg, ".json") {
 		if !ok {
@@ -336,7 +337,55 @@ func Parse(arg string, nodes, landmarks int, start, end trace.Time) (Spec, error
 		if err := json.Unmarshal(blob, &sp); err != nil {
 			return Spec{}, fmt.Errorf("disrupt: parsing %s: %w", path, err)
 		}
+		if err := sp.Validate(nodes, landmarks); err != nil {
+			return Spec{}, fmt.Errorf("disrupt: %s: %w", path, err)
+		}
 		return sp, nil
 	}
 	return Preset(arg, nodes, landmarks, start, end)
+}
+
+// Validate checks the spec against a trace's dimensions: every landmark
+// an outage, link fault or flash crowd names and every churned node must
+// exist, and no drop probability or crowd rate may be negative. Without
+// it such an entry silently perturbs nothing.
+func (sp *Spec) Validate(nodes, landmarks int) error {
+	lm := func(what string, i, l int) error {
+		if l < 0 || l >= landmarks {
+			return fmt.Errorf("%s %d: landmark %d outside [0, %d)", what, i, l, landmarks)
+		}
+		return nil
+	}
+	for i, o := range sp.Outages {
+		if err := lm("outage", i, o.Landmark); err != nil {
+			return err
+		}
+	}
+	for i, l := range sp.Links {
+		if err := lm("link", i, l.From); err != nil {
+			return err
+		}
+		if err := lm("link", i, l.To); err != nil {
+			return err
+		}
+		if l.DropProb < 0 {
+			return fmt.Errorf("link %d: negative drop_prob %g", i, l.DropProb)
+		}
+	}
+	for i, c := range sp.Churn {
+		if c.Node < 0 || c.Node >= nodes {
+			return fmt.Errorf("churn %d: node %d outside [0, %d)", i, c.Node, nodes)
+		}
+	}
+	for i, c := range sp.Crowds {
+		for _, l := range c.Landmarks {
+			if err := lm("crowd", i, l); err != nil {
+				return err
+			}
+		}
+		if c.Rate < 0 {
+			return fmt.Errorf("crowd %d: negative rate %g", i, c.Rate)
+		}
+	}
+	return nil
 }

@@ -1,7 +1,10 @@
 package disrupt
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/synth"
@@ -307,6 +310,56 @@ func TestPresetsAndEvents(t *testing.T) {
 	for i := 1; i < len(a); i++ {
 		if a[i].T < a[i-1].T {
 			t.Fatal("Actions() not sorted by T")
+		}
+	}
+}
+
+// TestParseValidatesSpec checks that a JSON spec naming a landmark or node
+// the trace does not have, or a negative probability or rate, is an
+// error rather than a silent no-op — and that every preset, at the
+// smallest and the DART dimensions, passes the same check.
+func TestParseValidatesSpec(t *testing.T) {
+	const nodes, landmarks = 20, 8
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name, spec, want string // want: "" accepts, else an error substring
+	}{
+		{"empty", `{}`, ""},
+		{"in range", `{"outages":[{"landmark":7,"start":0,"end":10}],
+			"links":[{"from":0,"to":7,"start":0,"end":10,"drop_prob":1}],
+			"churn":[{"node":19,"down":5,"up":9}],
+			"crowds":[{"start":0,"end":10,"landmarks":[0,7],"rate":0}]}`, ""},
+		{"outage landmark", `{"outages":[{"landmark":8,"start":0,"end":10}]}`, "outage 0: landmark 8"},
+		{"outage negative landmark", `{"outages":[{"landmark":-1}]}`, "outage 0: landmark -1"},
+		{"link from", `{"links":[{"from":500,"to":1,"drop_prob":1}]}`, "link 0: landmark 500"},
+		{"link to", `{"links":[{"from":0,"to":0,"drop_prob":1},{"from":1,"to":8,"drop_prob":1}]}`, "link 1: landmark 8"},
+		{"link drop_prob", `{"links":[{"from":0,"to":1,"drop_prob":-0.5}]}`, "negative drop_prob"},
+		{"churn node", `{"churn":[{"node":20,"down":1}]}`, "churn 0: node 20"},
+		{"churn negative node", `{"churn":[{"node":-3,"down":1}]}`, "churn 0: node -3"},
+		{"crowd landmark", `{"crowds":[{"landmarks":[0,9],"rate":10}]}`, "crowd 0: landmark 9"},
+		{"crowd rate", `{"crowds":[{"landmarks":[0],"rate":-10}]}`, "negative rate"},
+	} {
+		path := filepath.Join(dir, strings.ReplaceAll(c.name, " ", "-")+".json")
+		if err := os.WriteFile(path, []byte(c.spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Parse(path, nodes, landmarks, 0, 10*trace.Day)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+	for _, dims := range [][2]int{{1, 1}, {nodes, landmarks}, {1000, 159}} {
+		for _, name := range PresetNames {
+			sp, err := Preset(name, dims[0], dims[1], 0, 10*trace.Day)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sp.Validate(dims[0], dims[1]); err != nil {
+				t.Errorf("preset %s at %v: %v", name, dims, err)
+			}
 		}
 	}
 }

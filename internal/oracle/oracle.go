@@ -22,7 +22,7 @@
 //     heuristic, and regret measured against it is never negative.
 //   - The capacity-respecting committed schedule: packets routed in
 //     generation order, each consuming residual per-visit transfer
-//     budget (the engine's contactBudget formula) and station storage,
+//     budget (the engine's per-contact budget formula) and station storage,
 //     so the committed delivery count is a feasible schedule, not a
 //     bound.
 //
@@ -86,7 +86,7 @@ type Graph struct {
 	L     int // number of landmarks
 	conns []conn
 	// budget[v] is the transfer budget of visit v (global visit index in
-	// node-major, time-ascending order), the engine's contactBudget.
+	// node-major, time-ascending order), the engine's per-contact budget.
 	budget []int32
 }
 
@@ -166,7 +166,7 @@ func Build(tr *trace.Trace, cfg Config, workers int) *Graph {
 	return g
 }
 
-// visitBudget is the engine's contactBudget formula: the number of
+// visitBudget is the engine's per-contact budget formula: the number of
 // transfers a visit of this duration allows.
 func visitBudget(v trace.Visit, cfg Config) int {
 	b := int(cfg.LinkRate * float64(v.End-v.Start))

@@ -97,18 +97,6 @@ func (t *Table) Size() int { return t.size }
 // Lookup) — pending row rescans bump the generation when they apply.
 func (t *Table) Gen() uint64 { return t.gen }
 
-// Sync applies any pending recomputation and returns the resulting
-// generation. After Sync, every routed-state read (Lookup, Delay, Entries)
-// is a pure read until the next mutation — the plan/commit pipeline calls
-// it before fanning read-only planners out across goroutines, and compares
-// its result against the plan-time generation to validate a plan: an
-// unchanged generation proves every next/delay/backup value the plan read
-// is still current.
-func (t *Table) Sync() uint64 {
-	t.refresh()
-	return t.gen
-}
-
 // beats reports whether candidate (c1 via neighbour i1) precedes (c2 via
 // i2) in the deterministic route order: smaller delay first, ties to the
 // smaller neighbour index. This is exactly the order the ascending-index

@@ -140,7 +140,10 @@ func NewLog(r *Recorder, meta Meta) *Log {
 
 // ReadJSONL loads a recording written by WriteJSONL. A missing meta
 // header is tolerated (the meta is zero and landmark counts are inferred
-// by the analyses).
+// by the analyses). Malformed content is an error, never a panic in a
+// later analysis: a negative header landmark count, an event landmark
+// index outside [0, Landmarks) when the header gives a count, and a
+// delivered delay that is negative, non-finite or past every trace time.
 func ReadJSONL(r io.Reader) (*Log, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
@@ -155,6 +158,9 @@ func ReadJSONL(r io.Reader) (*Log, error) {
 			first = false
 			var hdr jsonlHeader
 			if err := json.Unmarshal([]byte(line), &hdr); err == nil && hdr.Meta != nil {
+				if hdr.Meta.Landmarks < 0 {
+					return nil, fmt.Errorf("telemetry: bad meta header: %d landmarks", hdr.Meta.Landmarks)
+				}
 				log.Meta = *hdr.Meta
 				continue
 			}
@@ -163,10 +169,52 @@ func ReadJSONL(r io.Reader) (*Log, error) {
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			return nil, fmt.Errorf("telemetry: bad event line %q: %w", line, err)
 		}
+		if err := ev.check(log.Meta.Landmarks); err != nil {
+			return nil, fmt.Errorf("telemetry: bad event line %q: %w", line, err)
+		}
 		log.Events = append(log.Events, ev)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return log, nil
+}
+
+// maxDelay bounds a delivered delay: no simulation time reaches 2^62,
+// and a float past 2^63 has no trace.Time value at all.
+const maxDelay = float64(1 << 62)
+
+// check validates one loaded event against the recording's landmark
+// count (0 = unknown, so indices are not range-checked): every field the
+// kind's schema (see Event) defines as a landmark must index one, and a
+// delivered delay must be a representable non-negative duration.
+func (ev *Event) check(landmarks int) error {
+	if ev.Kind == EvDelivered && !(ev.V >= 0 && ev.V < maxDelay) {
+		return fmt.Errorf("delivered delay %g out of range", ev.V)
+	}
+	if landmarks == 0 {
+		return nil
+	}
+	lms := make([]int32, 0, 2)
+	switch ev.Kind {
+	case EvGenerated, EvAssigned, EvDecision:
+		lms = append(lms, ev.A, ev.B)
+	case EvQueued, EvDelivered, EvExchange, EvRecompute, EvQueueDepth:
+		lms = append(lms, ev.A)
+	case EvPredict:
+		lms = append(lms, ev.B, ev.Aux)
+	case EvForwarded:
+		switch ev.Hop {
+		case HopUpload:
+			lms = append(lms, ev.B)
+		case HopDownload:
+			lms = append(lms, ev.A)
+		}
+	}
+	for _, lm := range lms {
+		if lm < 0 || int(lm) >= landmarks {
+			return fmt.Errorf("landmark %d outside [0, %d)", lm, landmarks)
+		}
+	}
+	return nil
 }

@@ -142,13 +142,8 @@ func (l *Log) FlowMatrix() [][]int {
 	for i := range flow {
 		flow[i] = make([]int, n)
 	}
-	for _, pt := range pkts {
-		for i := 1; i < len(pt.Stations); i++ {
-			from, to := pt.Stations[i-1], pt.Stations[i]
-			if from >= 0 && from < n && to >= 0 && to < n {
-				flow[from][to]++
-			}
-		}
+	for _, lk := range traversed(pkts, n) {
+		flow[lk.From][lk.To] = lk.Packets
 	}
 	return flow
 }
@@ -162,17 +157,11 @@ type Link struct {
 
 // TopLinks returns the k most-traversed transit links, busiest first
 // (ties break on (From, To) for determinism). k <= 0 returns all used
-// links.
+// links. Unlike FlowMatrix, its cost does not grow with the landmark
+// count.
 func (l *Log) TopLinks(k int) []Link {
-	flow := l.FlowMatrix()
-	var links []Link
-	for i, row := range flow {
-		for j, c := range row {
-			if c > 0 {
-				links = append(links, Link{From: i, To: j, Packets: c})
-			}
-		}
-	}
+	pkts := l.Packets()
+	links := traversed(pkts, l.numLandmarks(pkts))
 	sort.Slice(links, func(a, b int) bool {
 		if links[a].Packets != links[b].Packets {
 			return links[a].Packets > links[b].Packets
@@ -184,6 +173,27 @@ func (l *Log) TopLinks(k int) []Link {
 	})
 	if k > 0 && len(links) > k {
 		links = links[:k]
+	}
+	return links
+}
+
+// traversed returns every directed link between landmarks in [0, n)
+// that some packet's station path crossed, with its traversal count, in
+// no particular order.
+func traversed(pkts []*PacketTrace, n int) []Link {
+	type key struct{ from, to int }
+	count := make(map[key]int)
+	for _, pt := range pkts {
+		for i := 1; i < len(pt.Stations); i++ {
+			from, to := pt.Stations[i-1], pt.Stations[i]
+			if from >= 0 && from < n && to >= 0 && to < n {
+				count[key{from, to}]++
+			}
+		}
+	}
+	links := make([]Link, 0, len(count))
+	for lk, c := range count {
+		links = append(links, Link{From: lk.from, To: lk.to, Packets: c})
 	}
 	return links
 }
@@ -256,14 +266,31 @@ func (l *Log) HopHistogram() []int {
 	return hist
 }
 
+// maxDelayBuckets caps DelayHistogram's bucket count. At one-day
+// buckets it spans 1024 days, far past every scenario's TTL (DART: 20
+// days) and trace, so real recordings keep the width they ask for.
+const maxDelayBuckets = 1024
+
 // DelayHistogram buckets delivered packets' end-to-end delays into
 // equal-width buckets of the given width (seconds). It returns the
-// bucket counts and the width actually used (a day when width <= 0).
+// bucket counts and the width actually used: a day when width <= 0,
+// widened to a multiple of the requested width when the longest delay
+// would otherwise need more than maxDelayBuckets buckets.
 func (l *Log) DelayHistogram(width trace.Time) (counts []int, usedWidth trace.Time) {
 	if width <= 0 {
 		width = trace.Day
 	}
-	for _, pt := range l.Packets() {
+	pkts := l.Packets()
+	var longest trace.Time
+	for _, pt := range pkts {
+		if pt.Status == StatusDelivered && pt.Delay > longest {
+			longest = pt.Delay
+		}
+	}
+	if longest/width >= maxDelayBuckets {
+		width *= longest/(width*maxDelayBuckets) + 1
+	}
+	for _, pt := range pkts {
 		if pt.Status != StatusDelivered {
 			continue
 		}

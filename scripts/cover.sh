@@ -28,7 +28,7 @@ BEGIN {
     floor["repro/internal/geo"]        = 94.6
     floor["repro/internal/landmark"]   = 98.0
     floor["repro/internal/metrics"]    = 94.8
-    floor["repro/internal/oracle"]     = 91.5
+    floor["repro/internal/oracle"]     = 94.1
     floor["repro/internal/predict"]    = 81.5
     floor["repro/internal/routing"]    = 78.0
     floor["repro/internal/sim"]        = 75.2

@@ -7,9 +7,9 @@
 # The corpus (internal/experiment/testdata/golden/*.json) pins fixed-seed
 # metrics.Summary fingerprints for every routing method on both Tiny
 # scenarios — steady-state and storm-disrupted. TestGoldenRuns and
-# TestDisruptedGoldenRuns compare against it exactly, on the classic,
-# sharded, and parallel-apply engines; run this script only when a
-# numeric change is intended, and review the corpus diff like code.
+# TestDisruptedGoldenRuns compare against it exactly, on the classic and
+# sharded engines; run this script only when a numeric change is
+# intended, and review the corpus diff like code.
 set -eu
 cd "$(dirname "$0")/.."
 
