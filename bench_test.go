@@ -13,6 +13,7 @@ package dtnflow
 import (
 	"testing"
 
+	"repro/internal/disrupt"
 	"repro/internal/experiment"
 	"repro/internal/sim"
 	"repro/internal/synth"
@@ -291,9 +292,8 @@ func BenchmarkBandwidths(b *testing.B) {
 // high-water mark — as custom metrics. These run at -benchtime 1x
 // (scripts/bench.sh): one 32× run is minutes of wall clock, and the
 // figures of interest are per-run rates, not per-op latencies.
-func benchScale(b *testing.B, mult int) {
+func benchScale(b *testing.B, spec experiment.ScaleSpec) {
 	b.Helper()
-	spec := experiment.ScaleSpec{Scenario: "DART", Mult: mult}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -307,9 +307,34 @@ func benchScale(b *testing.B, mult int) {
 	}
 }
 
-func BenchmarkScaleDART1x(b *testing.B)  { benchScale(b, 1) }
-func BenchmarkScaleDART10x(b *testing.B) { benchScale(b, 10) }
-func BenchmarkScaleDART32x(b *testing.B) { benchScale(b, 32) }
+func scaleDART(mult int) experiment.ScaleSpec {
+	return experiment.ScaleSpec{Scenario: "DART", Mult: mult}
+}
+
+func BenchmarkScaleDART1x(b *testing.B)  { benchScale(b, scaleDART(1)) }
+func BenchmarkScaleDART10x(b *testing.B) { benchScale(b, scaleDART(10)) }
+func BenchmarkScaleDART32x(b *testing.B) { benchScale(b, scaleDART(32)) }
+
+// BenchmarkScaleDARTStorm1x is the 1× scale run under the storm
+// disruption preset, whose flash crowds pile packets into two stations:
+// the forwarding pass, not mobility, dominates its cost.
+func BenchmarkScaleDARTStorm1x(b *testing.B) {
+	spec := scaleDART(1)
+	nodes, lms, err := spec.Dims()
+	if err != nil {
+		b.Fatal(err)
+	}
+	start, end, err := spec.Span()
+	if err != nil {
+		b.Fatal(err)
+	}
+	storm, err := disrupt.Preset("storm", nodes, lms, start, end)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Disrupt = &storm
+	benchScale(b, spec)
+}
 
 // benchOracle measures the offline oracle at population scale: one
 // materialized scaled-DART trace through contact-graph build plus the

@@ -52,9 +52,7 @@ func (r *Router) CloneRouter(ctx *sim.Context) sim.Router {
 			cp.freqCounts[i] = counts
 		}
 	}
-	cp.reachStamp = append([]int(nil), r.reachStamp...)
-	cp.directStamp = append([]int(nil), r.directStamp...)
-	cp.carrierBkt = make([][]carrierEnt, len(r.carrierBkt))
+	cp.initScratch(len(r.landmarks))
 	cp.reachEpoch = r.reachEpoch
 	cp.Debug = r.Debug
 	return cp

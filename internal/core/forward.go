@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/routing"
@@ -16,11 +17,12 @@ import (
 //
 // The hot path is data-oriented: one pass over the presence set builds
 // per-target carrier buckets (so carrier selection is a bucket walk, not a
-// rescan of every present node per packet), candidate and eligibility
-// orders are realised by slices.SortFunc over dense scratch slices (every
-// comparator is a strict total order — packet and node IDs break all ties —
-// so the sort algorithm cannot influence the result), and the
-// upload/forward scheduler tracks buffer populations incrementally.
+// rescan of every present node per packet), the candidate order is merged
+// lazily from per-target heaps and the eligibility order is sorted, both
+// over dense scratch slices (every comparator is a strict total order —
+// packet and node IDs break all ties — so neither the sort nor the merge
+// can influence the result), and the upload/forward scheduler tracks
+// buffer populations incrementally.
 
 // uploadEligible decides whether node state ns should hand packet p to the
 // station of landmark lm (step 5): the packet targets lm, lm is the
@@ -123,17 +125,18 @@ func cmpCarrier(a, b carrierEnt) int {
 }
 
 // pickCarrier returns the first carrier in the target's bucket that can
-// store p, or nil. Only nodes whose predicted next landmark is the target
-// qualify (the bucket build enforces this): handing packets to nodes with
-// merely nonzero transit probability strands them on carriers that almost
-// surely go elsewhere, while a waiting station sees every future visitor.
-func pickCarrier(bkt []carrierEnt, p *sim.Packet) (*sim.Node, float64) {
+// store a packet of the given size, or nil. Only nodes whose predicted next
+// landmark is the target qualify (the bucket build enforces this): handing
+// packets to nodes with merely nonzero transit probability strands them on
+// carriers that almost surely go elsewhere, while a waiting station sees
+// every future visitor.
+func pickCarrier(bkt []carrierEnt, size int64) *sim.Node {
 	for i := range bkt {
-		if bkt[i].n.Buffer.Fits(p.Size) {
-			return bkt[i].n, bkt[i].po
+		if bkt[i].n.Buffer.Fits(size) {
+			return bkt[i].n
 		}
 	}
-	return nil, 0
+	return nil
 }
 
 // cand is one forwarding candidate of a forwardPass.
@@ -146,7 +149,8 @@ type cand struct {
 
 // cmpCand orders candidates feasible-first, then by minimal remaining TTL,
 // then by packet ID (IV-D.5). Packet IDs are unique, so this is a strict
-// total order and the sorted sequence is algorithm-independent.
+// total order: the global sequence is the same whether it comes from one
+// sort or from merging per-target heaps.
 func cmpCand(a, b cand) int {
 	if a.feasible != b.feasible {
 		if a.feasible {
@@ -163,6 +167,47 @@ func cmpCand(a, b cand) int {
 	return a.p.ID - b.p.ID
 }
 
+// candSeg is one reachable target's segment of the pass's candidate
+// slice: cands[lo:hi] is a min-heap under cmpCand once the pass has
+// partitioned and heapified it (during the routing scan hi counts the
+// target's candidates, and next is the partition's write cursor). free is
+// the largest free space of any carrier in the target's bucket at the
+// start of the pass (-1 when the bucket is empty), minSize the smallest
+// candidate packet in the segment.
+type candSeg struct {
+	lo, hi, next int
+	free         int64
+	minSize      int64
+}
+
+// routeMemo is one destination's routing answer for the forwarding pass
+// whose epoch it is stamped with.
+type routeMemo struct {
+	stamp  int
+	target int // route's target; -1 when the packet cannot be routed yet
+	seg    int // the target's index in the pass's segments; -1 when unreachable
+	exp    float64
+}
+
+// siftDown restores the min-heap property of h below index i.
+func siftDown(h []cand, i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		m := l
+		if r := l + 1; r < len(h) && cmpCand(h[r], h[l]) < 0 {
+			m = r
+		}
+		if cmpCand(h[m], h[i]) >= 0 {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
 // forwardPass forwards as many station packets as possible from landmark
 // lm to connected carriers, honouring the scheduling priority of IV-D.5:
 // packets whose expected delay fits their remaining TTL go first, ordered
@@ -171,6 +216,11 @@ func cmpCand(a, b cand) int {
 // number of packets handed to carriers. All intermediate state lives in
 // router-owned scratch buffers, so a pass over an uncongested station
 // allocates nothing.
+//
+// A pass costs one scan of the station queue plus work proportional to
+// the candidates that can still reach a carrier, and every Download runs
+// in the order a full sort under cmpCand would give (DESIGN.md "Batch
+// forwarding" explains why).
 func (r *Router) forwardPass(ctx *sim.Context, lm int, c *sim.Contact) int {
 	st := ctx.Stations[lm]
 	if st.Buffer.Len() == 0 {
@@ -189,12 +239,11 @@ func (r *Router) forwardPass(ctx *sim.Context, lm int, c *sim.Contact) int {
 	// reachStamp marks targets that can receive packets this pass, and the
 	// per-target buckets hold the qualifying carriers with their overall
 	// transit probability precomputed. Stamp arrays replace per-pass maps:
-	// stamp[t] == reachEpoch marks t live this pass, and a bucket is only
-	// ever read when its target's stamp is live, so stale buckets need no
-	// clearing.
+	// stamp[t] == reachEpoch marks t live this pass, and a bucket (or
+	// segOf entry) is only ever read when its target's stamp is live, so
+	// stale entries need no clearing.
 	r.reachEpoch++
 	epoch := r.reachEpoch
-	anyReachable := false
 	targets := r.targetScratch[:0]
 	for _, n := range present {
 		ns := r.nodes[n.ID]
@@ -211,8 +260,8 @@ func (r *Router) forwardPass(ctx *sim.Context, lm int, c *sim.Contact) int {
 		if r.reachStamp[t] != epoch {
 			r.reachStamp[t] = epoch
 			r.carrierBkt[t] = r.carrierBkt[t][:0]
+			r.segOf[t] = len(targets)
 			targets = append(targets, t)
-			anyReachable = true
 		}
 		if pt := ns.predProb; pt > 0 {
 			po := pt
@@ -223,62 +272,145 @@ func (r *Router) forwardPass(ctx *sim.Context, lm int, c *sim.Contact) int {
 		}
 	}
 	r.targetScratch = targets
-	if !anyReachable {
+	if len(targets) == 0 {
 		return 0
 	}
+	segs := r.segScratch[:0]
 	for _, t := range targets {
-		if len(r.carrierBkt[t]) > 1 {
-			slices.SortFunc(r.carrierBkt[t], cmpCarrier)
+		bkt := r.carrierBkt[t]
+		if len(bkt) > 1 {
+			slices.SortFunc(bkt, cmpCarrier)
 		}
+		free := int64(-1)
+		for i := range bkt {
+			free = max(free, bkt[i].n.Buffer.Free())
+		}
+		segs = append(segs, candSeg{free: free, minSize: math.MaxInt64})
 	}
+	r.segScratch = segs
 
-	// Order: feasible first, then by remaining TTL ascending. Copy the
-	// station queue first: Download mutates it while we iterate.
-	pkts := append(r.pktScratch[:0], st.Buffer.Packets()...)
-	r.pktScratch = pkts
-	cands := r.candScratch[:0]
-	for _, p := range pkts {
+	// Route every packet, counting each target's candidates. Within the
+	// scan, route reads only p.Dst of the packet and state no transfer has
+	// touched yet (the table, directStamp, the load-balancing rates), so
+	// its answer is memoized per destination. A candidate larger than
+	// every carrier's free space can never be sent (carrier buffers only
+	// fill during a pass) and is counted off at once. Nothing here
+	// mutates the station buffer, so its packet slice is read in place.
+	cands := r.cands[:0]
+	for _, p := range st.Buffer.Packets() {
 		if p.Dst == lm {
 			continue // node-destined packet waiting at its rendezvous
 		}
-		target, exp := r.route(ctx, lm, p, epoch)
-		if target < 0 {
+		m := &r.routeMemo[p.Dst]
+		if m.stamp != epoch {
+			m.stamp = epoch
+			m.target, m.exp = r.route(ctx, lm, p, epoch)
+			m.seg = -1
+			if m.target >= 0 && r.reachStamp[m.target] == epoch {
+				m.seg = r.segOf[m.target]
+			}
+		}
+		if m.target < 0 {
 			r.Debug.NoRoute++
 			continue
 		}
-		if r.reachStamp[target] != epoch {
+		if m.seg < 0 || p.Size > segs[m.seg].free {
 			r.Debug.NoCarrier++
 			continue
 		}
-		cands = append(cands, cand{p: p, target: target, exp: exp, feasible: exp < float64(p.Remaining(now))})
+		sg := &segs[m.seg]
+		sg.hi++
+		sg.minSize = min(sg.minSize, p.Size)
+		cands = append(cands, cand{p: p, target: m.target, exp: m.exp, feasible: m.exp < float64(p.Remaining(now))})
 	}
-	r.candScratch = cands
-	slices.SortFunc(cands, cmpCand)
+	r.cands = cands
+	if len(cands) == 0 {
+		return 0
+	}
+
+	// Partition cands into per-target segments in place (one cycle-leader
+	// pass: each swap puts one candidate into its final segment), then
+	// heapify each segment.
+	off := 0
+	for i := range segs {
+		n := segs[i].hi
+		segs[i].lo, segs[i].next, segs[i].hi = off, off, off+n
+		off += n
+	}
+	for i := range segs {
+		s := &segs[i]
+		for s.next < s.hi {
+			cd := cands[s.next]
+			j := r.segOf[cd.target]
+			if j == i {
+				s.next++
+				continue
+			}
+			d := &segs[j]
+			cands[s.next], cands[d.next] = cands[d.next], cd
+			d.next++
+		}
+	}
+	live := segs[:0]
+	for _, s := range segs {
+		if s.hi == s.lo {
+			continue
+		}
+		h := cands[s.lo:s.hi]
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			siftDown(h, i)
+		}
+		live = append(live, s)
+	}
+
+	// Merge: take the cmpCand-minimum head across live targets. Targets
+	// never share a carrier (each node sits in its predicted target's
+	// bucket only), and carrier buffers only fill, so once no carrier of a
+	// target fits its smallest candidate, all its remaining candidates
+	// would fail carrier selection: the target retires with them.
 	sent := 0
-	for _, cd := range cands {
-		carrier, _ := pickCarrier(r.carrierBkt[cd.target], cd.p)
-		if carrier == nil {
+	for len(live) > 0 {
+		b := 0
+		for i := 1; i < len(live); i++ {
+			if cmpCand(cands[live[i].lo], cands[live[b].lo]) < 0 {
+				b = i
+			}
+		}
+		s := &live[b]
+		cd := cands[s.lo]
+		s.hi--
+		cands[s.lo] = cands[s.hi]
+		siftDown(cands[s.lo:s.hi], 0)
+		bkt := r.carrierBkt[cd.target]
+		if carrier := pickCarrier(bkt, cd.p.Size); carrier == nil {
 			r.Debug.NoCarrier++
-			continue
+			if pickCarrier(bkt, s.minSize) == nil {
+				r.Debug.NoCarrier += int64(s.hi - s.lo)
+				s.hi = s.lo
+			}
+		} else {
+			var cc *sim.Contact
+			if c != nil && carrier == c.Node {
+				cc = c
+			}
+			if ctx.Download(cc, st, carrier, cd.p) {
+				ctx.Probe.Assigned(now, cd.p.ID, lm, cd.target)
+				if ctx.Probe.Enabled() {
+					r.emitDecision(ctx, lm, now, cd, targets)
+				}
+				cd.p.NextHop = cd.target
+				cd.p.ExpDelay = cd.exp
+				ls.lbSent[cd.target]++
+				sent++
+				r.Debug.Forwarded++
+				if cd.target == cd.p.Dst {
+					r.Debug.DirectDeliv++
+				}
+			}
 		}
-		var cc *sim.Contact
-		if c != nil && carrier == c.Node {
-			cc = c
-		}
-		if !ctx.Download(cc, st, carrier, cd.p) {
-			continue
-		}
-		ctx.Probe.Assigned(now, cd.p.ID, lm, cd.target)
-		if ctx.Probe.Enabled() {
-			r.emitDecision(ctx, lm, now, cd, targets)
-		}
-		cd.p.NextHop = cd.target
-		cd.p.ExpDelay = cd.exp
-		ls.lbSent[cd.target]++
-		sent++
-		r.Debug.Forwarded++
-		if cd.target == cd.p.Dst {
-			r.Debug.DirectDeliv++
+		if s.hi == s.lo {
+			live[b] = live[len(live)-1]
+			live = live[:len(live)-1]
 		}
 	}
 	return sent

@@ -140,11 +140,13 @@ type Router struct {
 	reachStamp    []int // per landmark; == reachEpoch when reachable this pass
 	directStamp   []int // per landmark; == reachEpoch when some present node predicts it
 	reachEpoch    int
-	pktScratch    []*sim.Packet
-	candScratch   []cand
-	eligScratch   []elig
 	carrierBkt    [][]carrierEnt // per target; valid when reachStamp matches
+	segOf         []int          // per target; its index in targetScratch and segScratch
 	targetScratch []int          // targets stamped by the current pass
+	routeMemo     []routeMemo    // per destination; valid when its stamp matches
+	cands         []cand         // the pass's candidates, partitioned into segments
+	segScratch    []candSeg      // per stamped target, parallel to targetScratch
+	eligScratch   []elig
 
 	// UnitHook, when set, runs after each time-unit boundary is
 	// processed; experiments use it to snapshot tables (Fig. 8).
@@ -221,10 +223,19 @@ func (r *Router) Init(ctx *sim.Context) {
 		}
 	}
 	r.freq = make([][]int, len(ctx.Nodes))
+	r.initScratch(nL)
+	r.reachEpoch = 0
+}
+
+// initScratch allocates the per-landmark forwarding scratch. Zeroed stamps
+// never match a live epoch (reachEpoch is incremented before each pass),
+// so fresh arrays are valid at any epoch.
+func (r *Router) initScratch(nL int) {
 	r.reachStamp = make([]int, nL)
 	r.directStamp = make([]int, nL)
 	r.carrierBkt = make([][]carrierEnt, nL)
-	r.reachEpoch = 0
+	r.segOf = make([]int, nL)
+	r.routeMemo = make([]routeMemo, nL)
 }
 
 // Table returns landmark lm's routing table (inspection).

@@ -27,7 +27,7 @@ type Entry struct {
 // Maintenance is incremental: a mutation (a link-delay change from a
 // bandwidth update, or a handful of changed entries in a merged vector)
 // touches exactly one candidate (dest, neighbour) pair per changed input,
-// and candChanged folds that delta into the affected row in O(1) — only
+// and candidateIs folds that delta into the affected row in O(1) — only
 // when the changed candidate was the row's current best or backup and got
 // worse does the row join a dirty set for a single-row rescan at the next
 // read. A full recomputation never runs after construction; the historical
@@ -50,9 +50,7 @@ type Table struct {
 	reachable int
 
 	// Incremental-maintenance state: rows whose best/backup may have
-	// worsened await a single-row rescan; dirtyAll forces the full
-	// recompute (only structural resets use it).
-	dirtyAll  bool
+	// worsened await a single-row rescan.
 	dirtyDest []bool
 	dirtyList []int
 	// gen increases whenever the routed state (next/delay/backup) may have
@@ -133,23 +131,14 @@ func (t *Table) cand(d, nbr int) float64 {
 	return c
 }
 
-// candChanged folds a changed candidate (dest d via neighbour nbr) into
-// row d. The row invariant — next is the (delay, index)-minimum over all
+// candidateIs folds the changed candidate c == cand(d, nbr) into row d.
+// The row invariant — next is the (delay, index)-minimum over all
 // neighbours, backup the minimum among the rest — makes every improving or
 // neutral change O(1); only a worsening of the current best or backup
 // needs the row rescanned, because the third-best candidate is not
-// tracked.
-func (t *Table) candChanged(d, nbr int) {
-	if d == t.Owner || t.dirtyAll || t.dirtyDest[d] {
-		return
-	}
-	t.candidateIs(d, nbr, t.cand(d, nbr))
-}
-
-// candidateIs folds the already-evaluated candidate c == cand(d, nbr) into
-// row d — the bulk folds (SetLinkDelay, storeVector) hoist the link delay
-// and vector loads out of their loops and evaluate the candidate inline.
-// Callers must have excluded the owner row and dirty rows.
+// tracked. The bulk folds (SetLinkDelay, storeVector) hoist the link
+// delay and vector loads out of their loops and evaluate the candidate
+// inline. Callers must have excluded the owner row and dirty rows.
 func (t *Table) candidateIs(d, nbr int, c float64) {
 	switch {
 	case t.next[d] == nbr:
@@ -229,9 +218,6 @@ func (t *Table) SetLinkDelay(nbr int, delay float64) {
 				break
 			}
 		}
-	}
-	if t.dirtyAll {
-		return // every row is rebuilt at the next read anyway
 	}
 	// The fold inlines cand(d, nbr) with the link delay and vector loads
 	// hoisted: candidate = min(ld [d == nbr], ld + vec[d]).
@@ -324,7 +310,7 @@ func (t *Table) storeVector(nbr int, vec []float64, seq int) {
 		}
 		if dst[i] != v {
 			dst[i] = v
-			if t.dirtyAll || t.dirtyDest[i] || i == t.Owner {
+			if t.dirtyDest[i] || i == t.Owner {
 				continue
 			}
 			c := Infinite
@@ -344,20 +330,9 @@ func (t *Table) storeVector(nbr int, vec []float64, seq int) {
 	t.vectorSeq[nbr] = seq
 }
 
-// refresh applies the pending single-row rescans (and, after a structural
-// reset, the full recompute). Reads that return routed state call it
-// first.
+// refresh applies the pending single-row rescans. Reads that return
+// routed state call it first.
 func (t *Table) refresh() {
-	if t.dirtyAll {
-		t.dirtyAll = false
-		for _, d := range t.dirtyList {
-			t.dirtyDest[d] = false
-		}
-		t.dirtyList = t.dirtyList[:0]
-		t.gen++
-		t.recompute()
-		return
-	}
 	if len(t.dirtyList) > 0 {
 		t.gen++
 		if len(t.dirtyList) == 1 {
@@ -459,9 +434,9 @@ func (t *Table) recomputeDest(d int) {
 }
 
 // recompute rebuilds every route from the stored link delays and vectors.
-// It no longer runs on the maintenance path (candChanged and recomputeDest
-// carry the deltas); it remains as the dirtyAll fallback and as CheckFull's
-// reference implementation.
+// It no longer runs on the maintenance path (candidateIs and recomputeDest
+// carry the deltas); it remains only as CheckFull's reference
+// implementation.
 func (t *Table) recompute() {
 	for d := 0; d < t.size; d++ {
 		t.next[d] = -1
@@ -650,7 +625,6 @@ func (t *Table) Snapshot() *Table {
 	copy(cp.backup, t.backup)
 	copy(cp.bakDelay, t.bakDelay)
 	cp.reachable = t.reachable
-	cp.dirtyAll = t.dirtyAll
 	copy(cp.dirtyDest, t.dirtyDest)
 	cp.dirtyList = append([]int(nil), t.dirtyList...)
 	cp.gen = t.gen

@@ -8,8 +8,9 @@
 # trace-analysis statistics (Transit/Bandwidths), the Tiny-scale
 # experiment suites that dominate wall-clock (Fig11/Fig13/Table6/Fig16),
 # and the scale tier (BenchmarkScale*: streaming generation + sharded
-# engine at 1×/10×/32× DART, run once each — their figures are per-run
-# throughput and peak-heap metrics, not per-op latencies).
+# engine at 1×/10×/32× DART, plus 1× DART under the storm disruption
+# preset, run once each — their figures are per-run throughput and
+# peak-heap metrics, not per-op latencies).
 # Raw output lands next to the report as <out>.raw.txt. With a baseline
 # (a prior snapshot from cmd/benchreport), the report contains
 # before/after numbers plus speedup ratios; without one it is a single
@@ -23,7 +24,7 @@ raw="${out%.json}.raw.txt"
 
 pattern='^(BenchmarkSimulateDTNFLOW|BenchmarkSimulateBaselines|BenchmarkSimulateTracesOff|BenchmarkSweepFresh|BenchmarkSweepForked|BenchmarkTransitExtraction|BenchmarkBandwidths|BenchmarkFig11MemoryDART|BenchmarkFig13RateDART|BenchmarkTable6DeadEnd|BenchmarkFig16Campus)$'
 
-scale_pattern='^(BenchmarkScaleDART1x|BenchmarkScaleDART1xClassic|BenchmarkScaleDART10x|BenchmarkScaleDART32x|BenchmarkOracle1x|BenchmarkOracle32x)$'
+scale_pattern='^(BenchmarkScaleDART1x|BenchmarkScaleDARTStorm1x|BenchmarkScaleDART1xClassic|BenchmarkScaleDART10x|BenchmarkScaleDART32x|BenchmarkOracle1x|BenchmarkOracle32x)$'
 
 go test -run '^$' -bench "$pattern" -benchmem -benchtime 10x -count 1 . | tee "$raw"
 go test -run '^$' -bench "$scale_pattern" -benchmem -benchtime 1x -count 1 -timeout 60m . | tee -a "$raw"

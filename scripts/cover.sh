@@ -29,8 +29,8 @@ BEGIN {
     floor["repro/internal/landmark"]   = 98.0
     floor["repro/internal/metrics"]    = 94.8
     floor["repro/internal/oracle"]     = 94.1
-    floor["repro/internal/predict"]    = 81.5
-    floor["repro/internal/routing"]    = 78.0
+    floor["repro/internal/predict"]    = 97.4
+    floor["repro/internal/routing"]    = 96.0
     floor["repro/internal/sim"]        = 75.2
     floor["repro/internal/synth"]      = 95.2
     floor["repro/internal/telemetry"]  = 80.9
