@@ -8,8 +8,8 @@
 //
 //	dtnflow-sim -trace dart -method DTN-FLOW -telemetry run.jsonl
 //	dtnflow-inspect -in run.jsonl                 # summary + top links + histograms
-//	dtnflow-inspect -in run.jsonl -flows          # full landmark flow matrix
-//	dtnflow-inspect -in run.jsonl -loads          # per-landmark load table
+//	dtnflow-inspect -in run.jsonl -flows          # flow matrix over the landmarks on traversed links
+//	dtnflow-inspect -in run.jsonl -loads          # per-landmark load table (named landmarks)
 //	dtnflow-inspect -in run.jsonl -packet 1234    # one packet's path and fate
 //	dtnflow-inspect -in run.jsonl -top 20         # widen the congested-link list
 //	dtnflow-inspect -in run.jsonl -resilience     # per-disruption impact report
@@ -200,20 +200,23 @@ func printBars(counts []int, label func(i int) string) {
 }
 
 func printFlows(log *telemetry.Log) {
-	flow := log.FlowMatrix()
-	n := len(flow)
-	fmt.Printf("landmark flow matrix (%d x %d, row = from, column = to):\n      ", n, n)
-	for j := 0; j < n; j++ {
-		fmt.Printf("%6d", j)
+	lms, links := log.FlowMatrix()
+	n := len(lms)
+	fmt.Printf("landmark flow matrix (%d x %d landmarks on traversed links, row = from, column = to):\n      ", n, n)
+	for _, lm := range lms {
+		fmt.Printf("%6d", lm)
 	}
 	fmt.Println()
-	for i, row := range flow {
-		fmt.Printf("L%-4d ", i)
-		for _, c := range row {
-			if c == 0 {
-				fmt.Printf("%6s", ".")
+	// links are sorted by (From, To): each row's entries arrive in column
+	// order, so the dense rendering needs no matrix in memory.
+	for _, from := range lms {
+		fmt.Printf("L%-4d ", from)
+		for _, to := range lms {
+			if len(links) > 0 && links[0].From == from && links[0].To == to {
+				fmt.Printf("%6d", links[0].Packets)
+				links = links[1:]
 			} else {
-				fmt.Printf("%6d", c)
+				fmt.Printf("%6s", ".")
 			}
 		}
 		fmt.Println()

@@ -22,8 +22,8 @@
 //
 // With -engine both the command runs the spec on both engines and
 // byte-compares their summaries (via the canonical run fingerprint); a
-// mismatch prints the diverging fields and exits non-zero, so fleet
-// workers and CI can trust the exit code.
+// mismatch prints the diverging fields and exits non-zero, so scripts
+// and CI can trust the exit code.
 package main
 
 import (
@@ -109,7 +109,7 @@ func main() {
 	case "both":
 		// Equivalence gate: the sharded engine is pinned bit-identical to
 		// the classic one; any divergence must fail the process, not just
-		// print — fleet workers and CI trust this exit code.
+		// print — scripts and CI trust this exit code.
 		var classic *experiment.ScaleResult
 		res, err = spec.RunSharded(*method, sh)
 		if err == nil {

@@ -103,10 +103,10 @@ func TestMergeAverages(t *testing.T) {
 	}
 }
 
-// TestExecuteCellMatchesRun pins the fleet's execution path to the
-// single-process one: ExecuteCell (which attaches a telemetry recorder)
-// must produce the exact summary of a plain Run — the probe path is
-// result-neutral, so a fleet sweep byte-matches an in-process sweep.
+// TestExecuteCellMatchesRun pins the cell runner's execution path to a
+// plain run: ExecuteCell (which attaches a telemetry recorder) must
+// produce the exact summary of a plain Run — the probe path is
+// result-neutral, so a cell sweep byte-matches an experiment sweep.
 func TestExecuteCellMatchesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full Tiny simulations")

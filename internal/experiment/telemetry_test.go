@@ -83,18 +83,16 @@ func TestTelemetryReconstructsRun(t *testing.T) {
 		t.Errorf("reconstructed %d delivered packets, metrics counted %d", delivered, sum.Delivered)
 	}
 
-	flow := log.FlowMatrix()
-	if len(flow) != sc.Trace.NumLandmarks {
-		t.Fatalf("flow matrix is %d wide, want %d", len(flow), sc.Trace.NumLandmarks)
+	lms, links := log.FlowMatrix()
+	if len(lms) == 0 || lms[len(lms)-1] >= sc.Trace.NumLandmarks {
+		t.Fatalf("flow matrix spans landmarks %v, want them below %d", lms, sc.Trace.NumLandmarks)
 	}
 	total := 0
-	for i, row := range flow {
-		if flow[i][i] != 0 {
-			t.Errorf("flow[%d][%d] = %d; self-loops should not occur", i, i, flow[i][i])
+	for _, lk := range links {
+		if lk.From == lk.To {
+			t.Errorf("flow %d->%d = %d; self-loops should not occur", lk.From, lk.To, lk.Packets)
 		}
-		for _, n := range row {
-			total += n
-		}
+		total += lk.Packets
 	}
 	// The matrix also counts hops of dropped/in-flight packets, so it is
 	// at least the delivered hop total and positive.
@@ -158,7 +156,9 @@ func TestTelemetryExportLossless(t *testing.T) {
 	if !reflect.DeepEqual(replayed.Packets(), live.Packets()) {
 		t.Errorf("packet reconstruction differs after round-trip")
 	}
-	if !reflect.DeepEqual(replayed.FlowMatrix(), live.FlowMatrix()) {
+	replayedLms, replayedLinks := replayed.FlowMatrix()
+	liveLms, liveLinks := live.FlowMatrix()
+	if !reflect.DeepEqual(replayedLms, liveLms) || !reflect.DeepEqual(replayedLinks, liveLinks) {
 		t.Errorf("flow matrix differs after round-trip")
 	}
 	if !reflect.DeepEqual(replayed.TopLinks(10), live.TopLinks(10)) {

@@ -3,41 +3,16 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
-	"net"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/experiment"
-	"repro/internal/metrics"
-	"repro/internal/sim"
 )
-
-// startWorkers runs n in-process workers against addr and returns a
-// channel that yields each worker's exit error.
-func startWorkers(n int, addr string) chan error {
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		w := &Worker{Addr: addr, Name: "test-worker", HeartbeatEvery: 50 * time.Millisecond}
-		go func() { errs <- w.Run() }()
-	}
-	return errs
-}
-
-func drainWorkers(t *testing.T, errs chan error, n int) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Errorf("worker exited with error: %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("worker did not exit after coordinator shutdown")
-		}
-	}
-}
 
 func resultsFingerprint(t *testing.T, results []*experiment.CellResult) string {
 	t.Helper()
@@ -48,36 +23,32 @@ func resultsFingerprint(t *testing.T, results []*experiment.CellResult) string {
 	return fp
 }
 
-// smallCells is a cheap three-cell sweep for scheduling-behaviour tests.
+// smallCells is a cheap three-cell sweep.
 func smallCells() []experiment.Cell {
 	return experiment.SweepCells([]string{"DNET"}, experiment.Tiny, []string{"DTN-FLOW", "PROPHET", "SimBet"}, 1, 0)
 }
 
-// TestFleetGoldenByteMatch is the tentpole acceptance check: a fleet run
-// of the golden corpus cells over two workers, assembled per scenario,
-// must byte-match the checked-in corpus files that the single-process
-// TestGoldenRuns pins.
+// withExecutor swaps the cell executor for the duration of a test.
+func withExecutor(t *testing.T, exec func(experiment.Cell) (*experiment.CellResult, error)) {
+	t.Helper()
+	orig := executeCell
+	executeCell = exec
+	t.Cleanup(func() { executeCell = orig })
+}
+
+// TestFleetGoldenByteMatch runs the golden corpus cells through Run and
+// checks the assembled per-scenario results byte-match the checked-in
+// corpus files that the single-process TestGoldenRuns pins.
 func TestFleetGoldenByteMatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full golden corpus")
 	}
-	coord := NewCoordinator(Options{HeartbeatTimeout: 30 * time.Second})
-	addr, err := coord.Listen()
+	results, rep, err := Run(experiment.GoldenCells(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	errs := startWorkers(2, addr)
-	results, rep, err := coord.Run(experiment.GoldenCells())
-	if err != nil {
-		t.Fatal(err)
-	}
-	drainWorkers(t, errs, 2)
-	if rep.RemoteCells != rep.Cells {
-		t.Errorf("expected all %d cells on workers, got %d remote / %d local",
-			rep.Cells, rep.RemoteCells, rep.LocalCells)
-	}
-	if rep.WorkersSeen != 2 {
-		t.Errorf("saw %d workers, want 2", rep.WorkersSeen)
+	if rep.Executed != rep.Cells || rep.CacheHits != 0 {
+		t.Errorf("report %+v: want every cell executed", rep)
 	}
 	for scenario, got := range experiment.MergeByScenario(results) {
 		blob, err := json.MarshalIndent(got, "", "  ")
@@ -91,7 +62,7 @@ func TestFleetGoldenByteMatch(t *testing.T) {
 			t.Fatalf("%v (regenerate with scripts/golden.sh)", err)
 		}
 		if !bytes.Equal(blob, want) {
-			t.Errorf("%s: fleet corpus is not byte-identical to %s", scenario, path)
+			t.Errorf("%s: Run corpus is not byte-identical to %s", scenario, path)
 		}
 	}
 }
@@ -100,17 +71,13 @@ func TestFleetGoldenByteMatch(t *testing.T) {
 // second run must complete entirely from cache with byte-identical
 // results.
 func TestFleetCacheHits(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full Tiny simulations")
-	}
 	store, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cells := smallCells()
 
-	first := NewCoordinator(Options{Store: store})
-	res1, rep1, err := first.Run(cells)
+	res1, rep1, err := Run(cells, Options{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,251 +85,107 @@ func TestFleetCacheHits(t *testing.T) {
 		t.Errorf("first run: %d hits / %d executed, want 0 / %d", rep1.CacheHits, rep1.Executed, len(cells))
 	}
 
-	second := NewCoordinator(Options{Store: store})
-	res2, rep2, err := second.Run(cells)
+	var progress bytes.Buffer
+	res2, rep2, err := Run(cells, Options{Store: store, Progress: &progress})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep2.CacheHits != len(cells) || rep2.Executed != 0 {
 		t.Errorf("second run: %d hits / %d executed, want %d / 0", rep2.CacheHits, rep2.Executed, len(cells))
 	}
+	if !strings.Contains(progress.String(), "3/3 cells already in store") {
+		t.Errorf("warm run progress = %q", progress.String())
+	}
 	if resultsFingerprint(t, res1) != resultsFingerprint(t, res2) {
 		t.Error("cached results are not byte-identical to executed ones")
 	}
 }
 
-// killerWorker speaks just enough protocol to take a job and die
-// mid-cell: hello, receive one job, drop the connection.
-func killerWorker(t *testing.T, addr string) (gotJob experiment.Cell) {
-	t.Helper()
-	conn, err := dialRetry(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeMsg(conn, &Envelope{Type: MsgHello, Hello: &Hello{
-		Proto: ProtoVersion, Engine: sim.EngineVersion, Name: "killer",
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	env, err := readMsg(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Type != MsgJob || env.Job == nil {
-		t.Fatalf("killer expected a job, got %s", env.Type)
-	}
-	conn.Close() // dies mid-cell, result never sent
-	return env.Job.Cell
-}
-
-// TestFleetWorkerKilledMidCell kills a worker after it accepts a cell
-// and checks the cell is re-dispatched and the final sweep result is
-// byte-identical to an undisturbed run.
-func TestFleetWorkerKilledMidCell(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full Tiny simulations")
-	}
-	cells := smallCells()
-
-	// Reference: undisturbed in-process run.
-	ref := NewCoordinator(Options{})
-	want, _, err := ref.Run(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord := NewCoordinator(Options{
-		HeartbeatTimeout: 30 * time.Second,
-		RetryBackoff:     10 * time.Millisecond,
-	})
-	addr, err := coord.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The killer takes one cell and dies before a healthy worker exists,
-	// so the lost cell must be re-dispatched to the survivor.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		killerWorker(t, addr)
-	}()
-	runDone := make(chan struct{})
-	var got []*experiment.CellResult
-	var rep Report
-	go func() {
-		defer close(runDone)
-		got, rep, err = coord.Run(cells)
-	}()
-	<-done // killer has died holding a dispatched cell
-	errs := startWorkers(1, addr)
-	<-runDone
-	if err != nil {
-		t.Fatal(err)
-	}
-	drainWorkers(t, errs, 1)
-
-	if rep.Retries == 0 {
-		t.Error("killed worker produced no re-dispatch")
-	}
-	if resultsFingerprint(t, got) != resultsFingerprint(t, want) {
-		t.Error("sweep with a killed worker is not byte-identical to the undisturbed run")
-	}
-}
-
-// TestFleetInProcessFallback starts a listening coordinator that no
-// worker ever joins: after the grace window it must degrade to
-// in-process execution and still assemble the identical result.
-func TestFleetInProcessFallback(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full Tiny simulations")
-	}
-	cells := smallCells()
-	ref := NewCoordinator(Options{})
-	want, _, err := ref.Run(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord := NewCoordinator(Options{WorkerWait: 50 * time.Millisecond})
-	if _, err := coord.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	got, rep, err := coord.Run(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LocalCells != len(cells) || rep.RemoteCells != 0 {
-		t.Errorf("fallback ran %d local / %d remote, want %d / 0", rep.LocalCells, rep.RemoteCells, len(cells))
-	}
-	if resultsFingerprint(t, got) != resultsFingerprint(t, want) {
-		t.Error("fallback run is not byte-identical to the plain in-process run")
-	}
-}
-
-// TestFleetRejectsVersionMismatch connects workers with a wrong protocol
-// or engine version and expects a reject.
-func TestFleetRejectsVersionMismatch(t *testing.T) {
-	coord := NewCoordinator(Options{})
-	addr, err := coord.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.ln.Close() // Run is never called, so close the listener ourselves
-	for name, hello := range map[string]*Hello{
-		"proto":  {Proto: ProtoVersion + 1, Engine: sim.EngineVersion, Name: "w"},
-		"engine": {Proto: ProtoVersion, Engine: "other-engine/0", Name: "w"},
-	} {
-		conn, err := net.Dial("tcp", addr)
+// TestFleetGOMAXPROCSInvariance runs the golden cells with the pool
+// bounded to 1, 2 and 8 goroutines: the assembled results must not
+// depend on the pool size or completion order.
+func TestFleetGOMAXPROCSInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cells := experiment.GoldenCells()
+	var want string
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		results, _, err := Run(cells, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeMsg(conn, &Envelope{Type: MsgHello, Hello: hello}); err != nil {
-			t.Fatal(err)
+		got := resultsFingerprint(t, results)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("GOMAXPROCS=%d: results differ from GOMAXPROCS=1", procs)
 		}
-		env, err := readMsg(conn)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if env.Type != MsgReject {
-			t.Errorf("%s: got %s, want reject", name, env.Type)
-		}
-		conn.Close()
 	}
 }
 
-// TestFleetCellErrorAborts dispatches a cell that fails identically
-// everywhere (simulated by a failing executor) and expects the run to
-// abort rather than burn retries.
+// TestFleetCellErrorAborts fails one cell and expects the run to abort
+// naming that cell, without storing or returning partial results.
 func TestFleetCellErrorAborts(t *testing.T) {
-	coord := NewCoordinator(Options{HeartbeatTimeout: 10 * time.Second})
-	addr, err := coord.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &Worker{Addr: addr, Name: "broken", Exec: func(experiment.Cell) (*experiment.CellResult, error) {
-		return nil, os.ErrInvalid
-	}}
-	wdone := make(chan error, 1)
-	go func() { wdone <- w.Run() }()
-	_, _, runErr := coord.Run(smallCells())
-	if runErr == nil {
-		t.Fatal("run with a deterministically failing cell succeeded")
-	}
-	// The worker is dismissed via bye (clean) or connection close.
-	select {
-	case <-wdone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker did not exit after aborted run")
-	}
-}
-
-// TestFleetMalformedCellFailsFast must not need a worker at all.
-func TestFleetMalformedCellFailsFast(t *testing.T) {
-	coord := NewCoordinator(Options{})
-	_, _, err := coord.Run([]experiment.Cell{{Scenario: "MARS", Scale: "tiny", Method: "DTN-FLOW"}})
-	if err == nil {
-		t.Fatal("malformed cell accepted")
-	}
-}
-
-// TestFleetResultIntegrity feeds the coordinator a result whose payload
-// does not match the dispatched cell's fingerprint. The coordinator must
-// refuse the forged result, count a retry, drop the liar, and recover
-// the cell through the in-process fallback — final output identical to a
-// clean run.
-func TestFleetResultIntegrity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full Tiny simulation")
-	}
-	cells := []experiment.Cell{{Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1}}
-	ref := NewCoordinator(Options{})
-	want, _, err := ref.Run(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord := NewCoordinator(Options{
-		HeartbeatTimeout: 5 * time.Second,
-		RetryBackoff:     10 * time.Millisecond,
+	cells := smallCells()
+	withExecutor(t, func(c experiment.Cell) (*experiment.CellResult, error) {
+		if c == cells[1] {
+			return nil, errors.New("boom")
+		}
+		return experiment.ExecuteCell(c)
 	})
-	addr, err := coord.Listen()
+	store, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	liarDone := make(chan struct{})
-	go func() {
-		defer close(liarDone)
-		conn, err := dialRetry(addr, 5*time.Second)
-		if err != nil {
-			t.Error(err)
-			return
+	results, _, err := Run(cells, Options{Store: store})
+	if err == nil || !strings.Contains(err.Error(), "cell 1 ") || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Run = %v; want an error naming cell 1", err)
+	}
+	if results != nil {
+		t.Error("aborted run returned results")
+	}
+	fp, _ := cells[1].Fingerprint()
+	if _, ok := store.Get(fp); ok {
+		t.Error("failed cell reached the store")
+	}
+}
+
+// TestFleetCellPanicAborts panics inside one cell: Run must return an
+// error naming the cell instead of crashing, and start no further cells.
+func TestFleetCellPanicAborts(t *testing.T) {
+	cells := experiment.GoldenCells()
+	var calls atomic.Int32
+	withExecutor(t, func(c experiment.Cell) (*experiment.CellResult, error) {
+		calls.Add(1)
+		if c == cells[0] {
+			panic("cell exploded")
 		}
-		defer conn.Close()
-		writeMsg(conn, &Envelope{Type: MsgHello, Hello: &Hello{Proto: ProtoVersion, Engine: sim.EngineVersion, Name: "liar"}})
-		env, err := readMsg(conn)
-		if err != nil || env.Type != MsgJob {
-			t.Errorf("liar expected a job, got %v / %v", env, err)
-			return
-		}
-		writeMsg(conn, &Envelope{Type: MsgResult, Result: &Result{
-			Seq: env.Job.Seq,
-			Res: &experiment.CellResult{Fingerprint: "0000", Summary: metrics.Summary{Generated: 1}},
-		}})
-		readMsg(conn) // coordinator drops us; wait for the close
-	}()
-	got, rep, err := coord.Run(cells)
-	if err != nil {
-		t.Fatal(err)
+		return experiment.ExecuteCell(c)
+	})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, _, err := Run(cells, Options{})
+	if err == nil || !strings.Contains(err.Error(), "run 0 panicked: cell exploded") {
+		t.Fatalf("Run = %v; want the panic of cell 0", err)
 	}
-	<-liarDone
-	if rep.Retries == 0 {
-		t.Error("forged result did not count as a failed dispatch")
+	if n := calls.Load(); n != 1 {
+		t.Errorf("%d cells started after a panic on the only worker, want 1", n)
 	}
-	if got[0].Summary.Generated == 1 {
-		t.Fatal("forged result was recorded")
+}
+
+// TestFleetMalformedCellFailsFast checks a malformed cell is rejected,
+// with its index, before any cell executes.
+func TestFleetMalformedCellFailsFast(t *testing.T) {
+	var calls atomic.Int32
+	withExecutor(t, func(c experiment.Cell) (*experiment.CellResult, error) {
+		calls.Add(1)
+		return experiment.ExecuteCell(c)
+	})
+	cells := append(smallCells(), experiment.Cell{Scenario: "MARS", Scale: "tiny", Method: "DTN-FLOW"})
+	_, _, err := Run(cells, Options{})
+	if err == nil || !strings.Contains(err.Error(), "cell 3:") {
+		t.Fatalf("Run = %v; want an error naming cell 3", err)
 	}
-	if resultsFingerprint(t, got) != resultsFingerprint(t, want) {
-		t.Error("run with a lying worker is not byte-identical to the clean run")
+	if n := calls.Load(); n != 0 {
+		t.Errorf("%d cells executed before the malformed one was rejected", n)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // engine version, hashed over canonical JSON — experiment.Cell.Fingerprint).
 // Because the key commits to everything that determines the result, a hit
 // is always valid to reuse: re-running a sweep against a warm store is
-// pure cache hits, and two stores populated by different fleets hold
+// pure cache hits, and two stores populated by different runs hold
 // byte-identical entries.
 //
 // Layout: <root>/<fp[:2]>/<fp>.json — a two-level fan-out so huge sweeps

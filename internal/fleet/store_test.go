@@ -1,6 +1,10 @@
 package fleet
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,7 +16,7 @@ import (
 
 // fakeResult builds a store payload without running a simulation: the
 // store trusts the caller's fingerprint and only guards integrity.
-func fakeResult(t *testing.T, seed int64) *experiment.CellResult {
+func fakeResult(t testing.TB, seed int64) *experiment.CellResult {
 	t.Helper()
 	cell := experiment.Cell{Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: seed}
 	fp, err := cell.Fingerprint()
@@ -26,7 +30,7 @@ func fakeResult(t *testing.T, seed int64) *experiment.CellResult {
 	}
 }
 
-func entryPath(t *testing.T, s *Store, fp string) string {
+func entryPath(t testing.TB, s *Store, fp string) string {
 	t.Helper()
 	path := filepath.Join(s.Root(), fp[:2], fp+".json")
 	if _, err := os.Stat(path); err != nil {
@@ -210,4 +214,65 @@ func TestStoreKeyFieldOrderStability(t *testing.T) {
 	if orig != reFP {
 		t.Errorf("store key depends on struct field order: %s vs %s", orig, reFP)
 	}
+}
+
+// FuzzStoreGet writes arbitrary bytes at a valid entry's path. Get must
+// miss — never panic, never serve a damaged entry — unless the bytes
+// still encode the very entry Put wrote, which needs the payload's
+// SHA-256; and a Put over the damage must hit again.
+func FuzzStoreGet(f *testing.F) {
+	want := fakeResult(f, 1)
+	wantJSON, err := experiment.CanonicalJSON(want)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := OpenStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Put(want); err != nil {
+		f.Fatal(err)
+	}
+	path := entryPath(f, s, want.Fingerprint)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := append([]byte(nil), blob...)
+	flipped[len(flipped)/2] ^= 0x01
+	// envelope wraps payload with a correct checksum under want's key.
+	envelope := func(payload []byte) []byte {
+		sum := sha256.Sum256(payload)
+		b, err := json.Marshal(storeEntry{V: 1, Fingerprint: want.Fingerprint, Sum: hex.EncodeToString(sum[:]), Payload: payload})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	other, err := experiment.CanonicalJSON(fakeResult(f, 2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		nil, []byte("not json"), []byte(`{"v":1}`), blob[:len(blob)/2], flipped,
+		envelope(other), envelope([]byte(`"payload"`)), envelope([]byte(`null`)),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Get(want.Fingerprint); ok {
+			if gotJSON, err := experiment.CanonicalJSON(got); err != nil || !bytes.Equal(gotJSON, wantJSON) {
+				t.Fatalf("damaged entry served as a hit: %+v", got)
+			}
+		}
+		if err := s.Put(want); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Get(want.Fingerprint); !ok || got.Summary != want.Summary {
+			t.Fatal("Put/Get round trip missed after the entry was damaged")
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/metrics"
@@ -133,19 +134,28 @@ func (l *Log) numLandmarks(pkts []*PacketTrace) int {
 	return max + 1
 }
 
-// FlowMatrix returns flow[i][j]: the number of packets whose station
-// path traversed the directed inter-landmark link i->j.
-func (l *Log) FlowMatrix() [][]int {
+// FlowMatrix returns the landmark flow matrix in sparse form: links
+// holds every directed link some packet's station path traversed, with
+// its traversal count, sorted by (From, To), and lms lists the landmarks
+// those links name, ascending — the matrix's rows and columns. Both grow
+// with the recording's events, never with the header's landmark count or
+// the largest index a header-less recording mentions, so a caller
+// renders the dense matrix row by row.
+func (l *Log) FlowMatrix() (lms []int, links []Link) {
 	pkts := l.Packets()
-	n := l.numLandmarks(pkts)
-	flow := make([][]int, n)
-	for i := range flow {
-		flow[i] = make([]int, n)
+	links = traversed(pkts, l.numLandmarks(pkts))
+	sort.Slice(links, func(a, b int) bool {
+		if links[a].From != links[b].From {
+			return links[a].From < links[b].From
+		}
+		return links[a].To < links[b].To
+	})
+	lms = make([]int, 0, 2*len(links))
+	for _, lk := range links {
+		lms = append(lms, lk.From, lk.To)
 	}
-	for _, lk := range traversed(pkts, n) {
-		flow[lk.From][lk.To] = lk.Packets
-	}
-	return flow
+	slices.Sort(lms)
+	return slices.Compact(lms), links
 }
 
 // Link is one directed inter-landmark transit link with its traversal
@@ -157,8 +167,8 @@ type Link struct {
 
 // TopLinks returns the k most-traversed transit links, busiest first
 // (ties break on (From, To) for determinism). k <= 0 returns all used
-// links. Unlike FlowMatrix, its cost does not grow with the landmark
-// count.
+// links. Unlike FlowMatrix, its cost does not grow with the number of
+// landmarks named.
 func (l *Log) TopLinks(k int) []Link {
 	pkts := l.Packets()
 	links := traversed(pkts, l.numLandmarks(pkts))
@@ -208,18 +218,44 @@ type LandmarkLoad struct {
 	MaxQueue  int // largest sampled or recorded queue depth
 }
 
-// LandmarkLoads aggregates per-landmark traffic, index-aligned with the
-// landmark IDs.
+// namedLandmarks returns, ascending and deduplicated, the landmarks among
+// ids that the recording may name: non-negative and, when the header
+// carries a landmark count, below it.
+func (l *Log) namedLandmarks(ids []int) []int {
+	out := ids[:0]
+	for _, lm := range ids {
+		if lm >= 0 && (l.Meta.Landmarks <= 0 || lm < l.Meta.Landmarks) {
+			out = append(out, lm)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// LandmarkLoads aggregates per-landmark traffic over the landmarks the
+// recording names (as a packet source, on a station path, or in a queue
+// sample), ascending by landmark ID: one row per named landmark, never
+// one per landmark the header claims.
 func (l *Log) LandmarkLoads() []LandmarkLoad {
 	pkts := l.Packets()
-	n := l.numLandmarks(pkts)
-	loads := make([]LandmarkLoad, n)
-	for i := range loads {
-		loads[i].Landmark = i
+	var ids []int
+	for _, pt := range pkts {
+		ids = append(ids, pt.Src)
+		ids = append(ids, pt.Stations...)
+	}
+	for _, ev := range l.Events {
+		if ev.Kind == EvQueueDepth || ev.Kind == EvQueued {
+			ids = append(ids, int(ev.A))
+		}
+	}
+	lms := l.namedLandmarks(ids)
+	loads := make([]LandmarkLoad, len(lms))
+	for i, lm := range lms {
+		loads[i].Landmark = lm
 	}
 	at := func(lm int) *LandmarkLoad {
-		if lm >= 0 && lm < n {
-			return &loads[lm]
+		if i, ok := slices.BinarySearch(lms, lm); ok {
+			return &loads[i]
 		}
 		return &LandmarkLoad{}
 	}

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -52,6 +54,54 @@ func TestCraftedRecordings(t *testing.T) {
 			}
 			if width%trace.Day != 0 {
 				t.Errorf("delay width %d is not a multiple of a day", width)
+			}
+		})
+	}
+}
+
+// TestDenseViewsFollowNamedLandmarks builds the -flows and -loads views
+// of the crafted huge-landmark recordings. Both once sized dense tables
+// from the header's landmark count or the largest index named, and died
+// out of memory; they must now allocate for the landmarks the events
+// name, whatever the header claims.
+func TestDenseViewsFollowNamedLandmarks(t *testing.T) {
+	cases := []struct {
+		name  string
+		data  string
+		lms   []int  // landmarks the views name
+		links []Link // the flow matrix's nonzero entries
+	}{
+		{"huge header landmark count", `{"meta":{"landmarks":2000000000}}
+{"t":1,"k":0,"p":0,"a":1,"b":2}
+{"t":2,"k":1,"p":0,"a":1,"b":7,"h":1}
+{"t":3,"k":1,"p":0,"a":7,"b":1999999999}`, []int{1, 1999999999}, []Link{{1, 1999999999, 1}}},
+		{"huge landmark index without header", `{"t":1,"k":0,"p":0,"a":2000000000,"b":2}
+{"t":2,"k":1,"p":0,"a":2000000000,"b":7,"h":1}
+{"t":3,"k":1,"p":0,"a":7,"b":3}`, []int{3, 2000000000}, []Link{{2000000000, 3, 1}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			log, err := ReadJSONL(strings.NewReader(c.data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			lms, links := log.FlowMatrix()
+			loads := log.LandmarkLoads()
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+				t.Errorf("views allocated %d bytes for a three-event recording", alloc)
+			}
+			if !reflect.DeepEqual(lms, c.lms) || !reflect.DeepEqual(links, c.links) {
+				t.Errorf("flow matrix = %v over %v, want %v over %v", links, lms, c.links, c.lms)
+			}
+			var got []int
+			for _, ld := range loads {
+				got = append(got, ld.Landmark)
+			}
+			if !reflect.DeepEqual(got, c.lms) {
+				t.Errorf("load table landmarks = %v, want %v", got, c.lms)
 			}
 		})
 	}

@@ -164,9 +164,9 @@ func TestPacketReconstructionAndFlows(t *testing.T) {
 		t.Errorf("packet 1 = %+v", pkts[1])
 	}
 
-	flow := log.FlowMatrix()
-	if flow[0][2] != 1 || flow[2][1] != 1 {
-		t.Errorf("flow matrix = %v", flow)
+	lms, flows := log.FlowMatrix()
+	if !reflect.DeepEqual(lms, []int{0, 1, 2}) || !reflect.DeepEqual(flows, []Link{{0, 2, 1}, {2, 1, 1}}) {
+		t.Errorf("flow matrix = %v over %v", flows, lms)
 	}
 	links := log.TopLinks(1)
 	if len(links) != 1 || links[0] != (Link{From: 0, To: 2, Packets: 1}) {

@@ -1,12 +1,13 @@
 #!/bin/sh
 # Pre-merge hygiene gate: formatting, vet, the race detector over the
 # packages that share state across goroutines (the parallel experiment
-# sweep, the engine it drives, and the fleet coordinator/worker pair),
+# sweep, the engine it drives, and the fleet cell runner, whose pool
+# issues concurrent store Puts),
 # the validation battery — invariant checker, checker-neutrality, fork
 # equivalence, the O1-O4 paper-fidelity checks at tiny scale, and the
 # disrupted-scenario section (outage / churn / storm presets, every
-# method checker-clean and classic == sharded) — and the fleet smoke
-# (2-worker sweep byte-compared against in-process plus the
+# method checker-clean and classic == sharded) — and the store smoke
+# (cold store run byte-compared against a storeless run plus the
 # 100%-cache-hit re-run).
 set -eu
 cd "$(dirname "$0")/.."

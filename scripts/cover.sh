@@ -24,16 +24,18 @@ awk '
 BEGIN {
     floor["repro/internal/baselines"]  = 77.3
     floor["repro/internal/core"]       = 79.6
+    floor["repro/internal/disrupt"]    = 89.2
     floor["repro/internal/experiment"] = 41.6
+    floor["repro/internal/fleet"]      = 86.5
     floor["repro/internal/geo"]        = 94.6
     floor["repro/internal/landmark"]   = 98.0
     floor["repro/internal/metrics"]    = 94.8
     floor["repro/internal/oracle"]     = 94.1
     floor["repro/internal/predict"]    = 97.4
     floor["repro/internal/routing"]    = 96.0
-    floor["repro/internal/sim"]        = 75.2
+    floor["repro/internal/sim"]        = 81.9
     floor["repro/internal/synth"]      = 95.2
-    floor["repro/internal/telemetry"]  = 80.9
+    floor["repro/internal/telemetry"]  = 88.3
     floor["repro/internal/trace"]      = 88.2
     floor["repro/internal/validate"]   = 67.6
     bad = 0

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Fleet smoke gate: the distributed path must be invisible in the
-# results. Runs the default Tiny sweep through a coordinator with two
-# spawned workers and byte-compares it against the in-process run, then
-# repeats the fleet run against the warmed store and requires 100% cache
-# hits with, again, byte-identical output.
+# Store smoke gate: the result store must be invisible in the results.
+# Runs the default Tiny sweep cold into an empty store, again with no
+# store, and byte-compares the two; then repeats the run against the
+# warmed store and requires byte-identical output with 100% cache hits
+# and nothing executed.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -12,24 +12,22 @@ trap 'rm -rf "$tmp"' EXIT INT TERM
 
 go build -o "$tmp/dtnflow-fleet" ./cmd/dtnflow-fleet
 
-echo "fleet-smoke: cold fleet run (2 workers, empty store)"
-"$tmp/dtnflow-fleet" -q -json -workers 2 -store "$tmp/store" \
-    -report "$tmp/cold.json" > "$tmp/fleet.json"
+echo "fleet-smoke: cold run (empty store)"
+"$tmp/dtnflow-fleet" -q -json -store "$tmp/store" -report "$tmp/cold.json" > "$tmp/cold.out"
 
-echo "fleet-smoke: reference in-process run"
-"$tmp/dtnflow-fleet" -q -json -workers 0 > "$tmp/local.json"
+echo "fleet-smoke: reference run (no store)"
+"$tmp/dtnflow-fleet" -q -json > "$tmp/nostore.out"
 
-if ! cmp -s "$tmp/fleet.json" "$tmp/local.json"; then
-    echo "fleet-smoke: FAIL: fleet output differs from in-process output" >&2
-    diff "$tmp/local.json" "$tmp/fleet.json" >&2 || true
+if ! cmp -s "$tmp/cold.out" "$tmp/nostore.out"; then
+    echo "fleet-smoke: FAIL: cold store run differs from the run without a store" >&2
+    diff "$tmp/nostore.out" "$tmp/cold.out" >&2 || true
     exit 1
 fi
 
-echo "fleet-smoke: warm fleet run (same store)"
-"$tmp/dtnflow-fleet" -q -json -workers 2 -store "$tmp/store" \
-    -report "$tmp/warm.json" > "$tmp/fleet2.json"
+echo "fleet-smoke: warm run (same store)"
+"$tmp/dtnflow-fleet" -q -json -store "$tmp/store" -report "$tmp/warm.json" > "$tmp/warm.out"
 
-if ! cmp -s "$tmp/fleet.json" "$tmp/fleet2.json"; then
+if ! cmp -s "$tmp/cold.out" "$tmp/warm.out"; then
     echo "fleet-smoke: FAIL: warm run output differs from cold run" >&2
     exit 1
 fi
@@ -44,4 +42,4 @@ if [ -z "$cells" ] || [ "$cells" -eq 0 ] || [ "$hits" != "$cells" ] || [ "$execu
     exit 1
 fi
 
-echo "fleet-smoke: OK ($cells cells byte-identical across 2-worker, in-process and cached runs)"
+echo "fleet-smoke: OK ($cells cells byte-identical across cold, storeless and cached runs)"
